@@ -5,7 +5,6 @@
 //!         [--clients 32] [--requests 16]
 //!         [--coarse 0.5] [--cf <coarser>] [--seed 7] [--verify <file.dcz>]
 //!         [--chaos <seed>] [--timeout <ms>] [--retries <attempts>]
-//!         [--backend <threads|epoll>]
 //!         [--tenant <id> --weight <class> | --tenants <n>]
 //!         [--churn] [--hedge <fraction of --timeout>]
 //! ```
@@ -32,11 +31,6 @@
 //! retry/reconnect its way to the same bits. Fault decisions are keyed on
 //! byte positions, so two runs with the same seed against the same store
 //! print an identical `chaos-counters:` line — CI diffs it.
-//!
-//! `--backend` selects the self-hosted server's transport (thread-per-
-//! connection or the epoll event loop); it is ignored with `--addr`. The
-//! stats frame's readiness section (wakeups, frames/wakeup, slab bytes
-//! shared) is how the two are told apart from the outside.
 //!
 //! QoS modes: `--tenant <id> --weight <class>` files every connection
 //! under one tenant (the aggressor/victim halves of the CI `qos-smoke`
@@ -82,8 +76,8 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use aicomp_serve::{
-    Backend, Client, ErrorCode, FailureDetector, FetchedChunk, RobustClient, RobustConfig,
-    ServeConfig, ServeError, Server, ServerHandle, ShardMap, WireFaultPlan,
+    Client, ErrorCode, FailureDetector, FetchedChunk, RobustClient, RobustConfig, ServeConfig,
+    ServeError, Server, ServerHandle, ShardMap, WireFaultPlan,
 };
 use aicomp_store::writer::pack_file;
 use aicomp_store::{DczReader, RetryPolicy, StoreOptions};
@@ -314,7 +308,6 @@ fn run() -> Result<bool, String> {
     };
     let timeout_ms: u64 = parse(&args, "--timeout", 10_000)?;
     let retries: u32 = parse(&args, "--retries", 6)?;
-    let backend: Backend = parse(&args, "--backend", Backend::default())?;
     let tenant: u32 = parse(&args, "--tenant", 0)?;
     let weight: u8 = parse(&args, "--weight", 1)?;
     let tenants: u32 = parse(&args, "--tenants", 0)?;
@@ -394,8 +387,8 @@ fn run() -> Result<bool, String> {
                 }
             };
             verify_path.get_or_insert_with(|| path.clone());
-            let config = ServeConfig { backend, ..ServeConfig::default() };
-            let server = Server::bind("127.0.0.1:0", &[path], config).map_err(|e| e.to_string())?;
+            let server = Server::bind("127.0.0.1:0", &[path], ServeConfig::default())
+                .map_err(|e| e.to_string())?;
             let h = server.spawn();
             let addr = h.addr().to_string();
             handle = Some(h);
@@ -417,7 +410,7 @@ fn run() -> Result<bool, String> {
     println!(
         "driving {addr}{}: {} chunks of {} samples, stored cf {stored_cf}, \
          {clients} clients x {requests} requests, {:.0}% coarse (cf {coarse_cf}){}",
-        if handle.is_some() { format!(" (self-hosted, {backend} backend)") } else { String::new() },
+        if handle.is_some() { " (self-hosted)" } else { "" },
         info.chunks,
         info.chunk_size,
         coarse_frac * 100.0,
@@ -765,11 +758,7 @@ fn run() -> Result<bool, String> {
     nums.extend(churn_fields);
     let log = aicomp_bench::append_bench_record(
         "serve",
-        &[
-            ("bin", "loadgen"),
-            ("backend", &backend.to_string()),
-            ("mode", if churn { "churn" } else { "load" }),
-        ],
+        &[("bin", "loadgen"), ("mode", if churn { "churn" } else { "load" })],
         &nums,
     );
     println!("appended run record to {}", log.display());

@@ -19,6 +19,8 @@
 //! via [`compressors::DataCompressor`] — plain DCT+Chop, scatter/gather,
 //! ZFP, or none), and per-epoch train/test metrics are recorded.
 
+#![forbid(unsafe_code)]
+
 pub mod compressors;
 pub mod data;
 pub mod metrics;

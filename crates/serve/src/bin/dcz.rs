@@ -63,8 +63,8 @@ use std::time::Duration;
 use aicomp_core::CodecSpec;
 use aicomp_sciml::{Dataset, DatasetKind};
 use aicomp_serve::{
-    Backend, BrownoutConfig, Client, FailureDetector, RobustClient, RobustConfig, ServeConfig,
-    Server, ShardMap, ShardMember, ShardRole, WireFaultPlan,
+    BrownoutConfig, Client, FailureDetector, RobustClient, RobustConfig, ServeConfig, Server,
+    ShardMap, ShardMember, ShardRole, WireFaultPlan,
 };
 use aicomp_store::writer::{DczFileWriter, StoreOptions};
 use aicomp_store::{deep_verify, repair, ChunkStatus, DczReader, RetryPolicy};
@@ -113,13 +113,13 @@ fn usage() -> String {
      \x20 verify   --input <file.dcz> [--deep]   (--deep: per-chunk health report)\n\
      \x20 repair   --input <file.dcz> --out <salvaged.dcz>\n\
      \x20 serve    --store <file.dcz> [--store <more.dcz> ...] [--addr <ip:port>] \
-     [--backend <threads|epoll>] [--shard-name <name, identity for a later cluster join>] \
+     [--shard-name <name, identity for a later cluster join>] \
      [--workers <N>] [--queue <depth>] [--batch <max>] [--cache <chunks>] [--shards <N>] \
      [--idle-timeout <ms, 0 = never>] [--max-conns <N>] [--chaos <seed, 0 = off>] \
      [--quantum <pops>] [--tenant-inflight <N, 0 = unlimited>] \
      [--tenant-bytes <B, 0 = unlimited>] [--brownout] [--worker-delay <ms, 0 = off>]\n\
      \x20 cluster  --store <file.dcz> [--store <more.dcz> ...] -n <shards> \
-     [--addr-base <ip:port, fixed — port 0 rejected>] [--backend <threads|epoll>] \
+     [--addr-base <ip:port, fixed — port 0 rejected>] \
      [--seed <ring seed>] [--vnodes <per member>] [--replication <R>] [--epoch <nonzero>] \
      [--workers <N>] [--queue <depth>] [--batch <max>] [--cache <chunks>] [--shards <N>] \
      [--worker-delay <ms> [--slow-shard <index, default: all shards>]  (hedging demos)]\n\
@@ -450,7 +450,6 @@ fn serve(args: &[String]) -> Result<(), String> {
             plan.stall = Duration::from_millis(1);
             plan
         }),
-        backend: parse(args, "--backend", Backend::default())?,
         quantum: parse(args, "--quantum", 4)?,
         tenant_inflight: parse(args, "--tenant-inflight", 0)?,
         tenant_bytes: parse(args, "--tenant-bytes", 0)?,
@@ -461,10 +460,9 @@ fn serve(args: &[String]) -> Result<(), String> {
         shard_name: arg(args, "--shard-name"),
     };
     let addr = addr_of(args);
-    let backend = config.backend;
     let server = Server::bind(addr.as_str(), &stores, config).map_err(|e| e.to_string())?;
     let bound = server.local_addr();
-    println!("serving {} container(s) on {bound} ({backend} backend):", stores.len());
+    println!("serving {} container(s) on {bound}:", stores.len());
     if chaos_seed != 0 {
         println!("  CHAOS: injecting wire faults on every connection (seed {chaos_seed})");
     }
@@ -527,7 +525,6 @@ fn cluster(args: &[String]) -> Result<(), String> {
         });
     }
     let map = ShardMap::new(epoch, seed, vnodes, replication, members);
-    let backend: Backend = parse(args, "--backend", Backend::default())?;
     println!(
         "cluster of {n} shard(s) over {} container(s) \
          (epoch {epoch}, seed {seed}, {vnodes} vnodes, replication {}):",
@@ -549,14 +546,13 @@ fn cluster(args: &[String]) -> Result<(), String> {
             cache_shards: parse(args, "--shards", 8)?,
             worker_delay: (delay_ms > 0 && (slow == usize::MAX || slow == i))
                 .then(|| Duration::from_millis(delay_ms)),
-            backend,
             shard: Some(ShardRole { map: map.clone(), index: i }),
             ..ServeConfig::default()
         };
         let addr = map.members[i].addr.clone();
         let server =
             Server::bind(addr.as_str(), &stores, config).map_err(|e| format!("{addr}: {e}"))?;
-        println!("  {} {} ({backend} backend)", map.members[i].name, server.local_addr());
+        println!("  {} {}", map.members[i].name, server.local_addr());
         handles.push(server.spawn());
     }
     println!("stop each shard with: dcz shutdown --addr <its ip:port>");

@@ -6,16 +6,15 @@
 //! [`FrameDecoder`] is fed raw bytes (however the transport chopped
 //! them) and yields complete frames; a [`ServerConn`] / [`ClientConn`]
 //! consumes frames and emits [`Action`]s (`Send` these bytes, `Deliver`
-//! this request, `Close` for this reason). Both the blocking
-//! thread-per-connection backend and the `epoll` readiness backend in
-//! [`crate::epoll`] drive the *same* machines, which is what makes the
-//! two backends byte-identical on the wire by construction (the shape
-//! IronRDP's sans-I/O session crates use, per ROADMAP item 2).
+//! this request, `Close` for this reason). The server's connection
+//! threads drive [`ServerConn`] and the client's handshake drives
+//! [`ClientConn`], so the socket code around them only moves bytes and
+//! time (the shape IronRDP's sans-I/O session crates use).
 //!
-//! Clocks stay outside: the state machines never read time. Transports
-//! own deadlines (per-thread read timeouts or a timer wheel) and call
-//! [`ServerConn::expire`] when one fires; the machine answers with the
-//! same typed close either way.
+//! Clocks stay outside: the state machines never read time. The
+//! connection thread owns the deadlines (checked between 50 ms read
+//! timeouts) and calls [`ServerConn::expire`] when one fires; the machine
+//! answers with the typed close.
 //!
 //! The response hot path is zero-copy: a [`ResponseSlab`] is one encoded
 //! response body in an `Arc<[u8]>`, built once per decoded chunk. Every
@@ -193,11 +192,6 @@ impl ResponseSlab {
     pub fn trailer(&self) -> [u8; 4] {
         self.crc.to_le_bytes()
     }
-
-    /// Total framed size on the wire at the given checksum mode.
-    pub fn wire_len(&self, checksum: bool) -> usize {
-        4 + 1 + self.body.len() + if checksum { 4 } else { 0 }
-    }
 }
 
 // ----------------------------------------------------------------- actions
@@ -329,8 +323,8 @@ impl ServerConn {
         self.weight
     }
 
-    /// Total complete frames parsed so far. Transports diff this across
-    /// reads to reset idle clocks and to histogram frames-per-wakeup.
+    /// Total complete frames parsed so far. The connection thread diffs
+    /// this across reads to reset its idle clock.
     pub fn frames_parsed(&self) -> u64 {
         self.frames
     }
@@ -1028,7 +1022,6 @@ mod tests {
                 got.extend_from_slice(&slab.trailer());
             }
             assert_eq!(got, want, "checksum={checksum}");
-            assert_eq!(got.len(), slab.wire_len(checksum));
         }
     }
 

@@ -67,46 +67,6 @@ use crate::queue::{PushError, TenantQuota, Wfq};
 use crate::shard::{MapInstall, ShardMap, ShardMember};
 use crate::stats::{Endpoint, ServeStats};
 
-/// Which transport drives the connection state machines.
-///
-/// Both backends run the *same* [`ServerConn`] sans-I/O machines, worker
-/// pool, batcher, cache, and admission queue — they differ only in how
-/// bytes and deadlines reach the machines, so their wire behavior is
-/// identical by construction (asserted by the backend-equivalence
-/// integration test).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Backend {
-    /// One blocking thread per connection (the original model — simple,
-    /// portable, fine for hundreds of connections).
-    #[default]
-    Threads,
-    /// One event loop over nonblocking sockets + `epoll` readiness with
-    /// timer-wheel supervision (see [`crate::epoll`]) — connections cost
-    /// a state machine, not a stack. Linux only.
-    Epoll,
-}
-
-impl std::str::FromStr for Backend {
-    type Err = String;
-
-    fn from_str(s: &str) -> std::result::Result<Backend, String> {
-        match s {
-            "threads" => Ok(Backend::Threads),
-            "epoll" => Ok(Backend::Epoll),
-            other => Err(format!("unknown backend {other:?} (expected threads|epoll)")),
-        }
-    }
-}
-
-impl std::fmt::Display for Backend {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(match self {
-            Backend::Threads => "threads",
-            Backend::Epoll => "epoll",
-        })
-    }
-}
-
 /// Tunables for [`Server::bind`]. `Default` is sized for tests and small
 /// deployments; the `dcz serve` CLI exposes each as a flag.
 #[derive(Debug, Clone)]
@@ -137,8 +97,6 @@ pub struct ServeConfig {
     /// Test/CI knob: wrap every accepted connection in a [`FaultyStream`]
     /// seeded per connection (`plan.derive(i)`) — server-side wire chaos.
     pub chaos: Option<WireFaultPlan>,
-    /// Transport backend driving the connection machines.
-    pub backend: Backend,
     /// Deficit-round-robin quantum: pops a weight-1 tenant may take per
     /// scheduling round (a weight-`w` tenant gets `w × quantum`).
     pub quantum: u64,
@@ -181,7 +139,6 @@ impl Default for ServeConfig {
             frame_deadline: Duration::from_secs(30),
             max_conns: 256,
             chaos: None,
-            backend: Backend::Threads,
             quantum: 4,
             tenant_inflight: 0,
             tenant_bytes: 0,
@@ -244,7 +201,7 @@ impl Default for BrownoutConfig {
 /// steps currently shaved off every fetch) plus the dwell clock. Inert
 /// when the config is `None` — `level()` is pinned at 0 and observations
 /// are no-ops, so brownout-off servers behave exactly as before.
-pub(crate) struct Brownout {
+struct Brownout {
     config: Option<BrownoutConfig>,
     level: AtomicU32,
     last_change: Mutex<Instant>,
@@ -256,7 +213,7 @@ impl Brownout {
     }
 
     /// Fidelity steps currently applied to every admitted fetch.
-    pub(crate) fn level(&self) -> u8 {
+    fn level(&self) -> u8 {
         if self.config.is_none() {
             return 0;
         }
@@ -267,13 +224,7 @@ impl Brownout {
     /// worker pass with its wall time) and maybe step the level. Steps
     /// serialize on the dwell clock's mutex so concurrent observations
     /// can't double-step.
-    pub(crate) fn observe(
-        &self,
-        depth: usize,
-        capacity: usize,
-        batch: Option<Duration>,
-        stats: &ServeStats,
-    ) {
+    fn observe(&self, depth: usize, capacity: usize, batch: Option<Duration>, stats: &ServeStats) {
         let Some(cfg) = &self.config else { return };
         let fill = depth as f64 / capacity.max(1) as f64;
         let slow = batch.is_some_and(|d| d >= cfg.slow_batch);
@@ -299,12 +250,12 @@ impl Brownout {
 
 /// What a worker sends back for one admitted fetch: the encoded,
 /// shareable reply slab, or a typed error.
-pub(crate) type JobResult = std::result::Result<Arc<ResponseSlab>, (ErrorCode, String)>;
+type JobResult = std::result::Result<Arc<ResponseSlab>, (ErrorCode, String)>;
 
 /// One request waiting on a chunk: its reply slot plus the tenant
 /// accounting needed to release the quota the moment it is answered.
 struct Waiter {
-    reply: ReplyTo,
+    reply: mpsc::SyncSender<JobResult>,
     tenant: u32,
     cost: u64,
 }
@@ -318,39 +269,21 @@ impl Waiter {
     /// The quota is released *before* the reply leaves: the instant a
     /// client holds the answer, the in-flight accounting has already let
     /// go, so a quiesced observer (a stats poll, a map push counting its
-    /// drains) can never see a request that was in fact answered. The
-    /// reverse order raced under the epoll backend, where the loop can
-    /// write the completed reply to the socket before the worker thread
-    /// gets back to the accounting.
+    /// drains) can never see a request that was in fact answered. Sent
+    /// first, the reply could reach the connection thread, its client and
+    /// that observer before this worker thread gets back to the
+    /// accounting, and an answered request would still count as in
+    /// flight.
     fn finish(&self, shared: &Shared, result: JobResult) {
         shared.queue.complete(self.tenant, self.cost);
-        self.reply.send(result);
+        // A dropped receiver means the connection died while waiting;
+        // its request needs no answer.
+        let _ = self.reply.send(result);
     }
 }
 
 /// Reply slots of every request waiting on one chunk.
 type Waiters = Vec<Waiter>;
-
-/// Where a worker delivers one job's result — a blocking rendezvous
-/// (threads backend) or the epoll loop's completion hub (which wakes the
-/// loop through its `eventfd`).
-pub(crate) enum ReplyTo {
-    /// Blocking connection thread parked on the receiver.
-    Sync(mpsc::SyncSender<JobResult>),
-    /// Reply slot `seq` of connection `token` in an epoll loop.
-    Event { token: u64, seq: u64, hub: Arc<crate::epoll::CompletionHub> },
-}
-
-impl ReplyTo {
-    fn send(&self, result: JobResult) {
-        match self {
-            ReplyTo::Sync(tx) => {
-                let _ = tx.send(result);
-            }
-            ReplyTo::Event { token, seq, hub } => hub.complete(*token, *seq, result),
-        }
-    }
-}
 
 /// One admitted cache miss: decode `chunk` of `container` at `read_cf`
 /// (already resolved — never 0) and send the result to `reply`. A job
@@ -358,12 +291,12 @@ impl ReplyTo {
 /// `DeadlineExceeded` instead of decoded — by then the client has (or
 /// should have) moved on, so decoding would burn a worker pass on an
 /// answer nobody reads.
-pub(crate) struct Job {
+struct Job {
     container: u32,
     chunk: u32,
     read_cf: u8,
     expires: Option<Instant>,
-    reply: ReplyTo,
+    reply: mpsc::SyncSender<JobResult>,
     /// Admitting tenant — `Wfq::complete` releases its quota when the
     /// reply is sent.
     tenant: u32,
@@ -395,41 +328,41 @@ impl Container {
 /// plus where it sits in that map. Unlike the boot-time [`ShardRole`],
 /// the slot is mutable — a `MapPush` swaps the map (and possibly the
 /// index) on a running server under the `Shared::shard` write lock.
-pub(crate) struct ShardSlot {
+struct ShardSlot {
     /// Stable member name — survives every push; the index is re-derived
     /// from it against each installed map (`usize::MAX` when the new map
     /// no longer names this server: it then serves nothing and answers
     /// every fetch with `WrongShard`, the post-handoff state of a member
     /// that left).
-    pub(crate) name: String,
+    name: String,
     /// The map this server currently routes by.
-    pub(crate) map: ShardMap,
+    map: ShardMap,
     /// This server's index into `map.members` (out of range = not a
     /// member).
-    pub(crate) index: usize,
+    index: usize,
     /// `(container, chunk)` keys served under `map` (0 at epoch 0) —
     /// the stats figure, recomputed at every install.
-    pub(crate) owned: u64,
+    owned: u64,
 }
 
-/// State shared by the listener/event loop, connection threads, and
-/// workers. The cache stores *encoded* reply slabs, so a hit skips both
-/// the decode and the re-encode, and fan-out is an `Arc` bump.
-pub(crate) struct Shared {
+/// State shared by the listener, connection threads, and workers. The
+/// cache stores *encoded* reply slabs, so a hit skips both the decode
+/// and the re-encode, and fan-out is an `Arc` bump.
+struct Shared {
     containers: Vec<Container>,
-    pub(crate) queue: Wfq<Job>,
-    pub(crate) cache: ChunkCache<Arc<ResponseSlab>>,
-    pub(crate) stats: ServeStats,
-    pub(crate) shutdown: AtomicBool,
-    pub(crate) config: ServeConfig,
-    pub(crate) brownout: Brownout,
+    queue: Wfq<Job>,
+    cache: ChunkCache<Arc<ResponseSlab>>,
+    stats: ServeStats,
+    shutdown: AtomicBool,
+    config: ServeConfig,
+    brownout: Brownout,
     /// This server's live cluster identity. A read lock guards every
     /// admission-path ownership check; the write lock is taken only by
     /// the (rare) `MapPush` install, so steady-state contention is nil.
-    pub(crate) shard: RwLock<ShardSlot>,
+    shard: RwLock<ShardSlot>,
     /// Chunk count per served container, frozen at bind — the key-space
     /// geometry the owned/handoff figures are computed over.
-    pub(crate) chunk_counts: Vec<u32>,
+    chunk_counts: Vec<u32>,
 }
 
 /// A bound (but not yet accepting) server. [`Server::run`] blocks the
@@ -457,13 +390,6 @@ impl Server {
         stores: &[impl AsRef<Path>],
         config: ServeConfig,
     ) -> crate::Result<Server> {
-        if config.backend == Backend::Epoll && !crate::epoll::supported() {
-            return Err(crate::ServeError::Protocol(
-                "the epoll backend requires linux (x86_64 or aarch64); \
-                 use --backend threads on this platform"
-                    .into(),
-            ));
-        }
         let mut containers = Vec::with_capacity(stores.len());
         for p in stores {
             containers.push(Container {
@@ -557,14 +483,10 @@ impl Server {
 
     /// Accept and serve until a `Shutdown` frame (or a handle) sets the
     /// flag, then tear down in order: drain connections, close the
-    /// queue, join workers. Dispatches to the configured [`Backend`];
-    /// both run the same state machines and worker pool.
+    /// queue, join workers.
     pub fn run(self) {
         let Server { listener, shared, workers, .. } = self;
-        match shared.config.backend {
-            Backend::Threads => run_threads(&listener, &shared),
-            Backend::Epoll => crate::epoll::run_event_loop(&listener, &shared),
-        }
+        accept_loop(&listener, &shared);
         // Every job a connection admitted has been replied to by now, so
         // closing the queue lets workers drain the (empty) backlog and exit.
         shared.queue.close();
@@ -608,10 +530,9 @@ impl ServerHandle {
     }
 }
 
-/// The thread-per-connection accept loop (the `Backend::Threads`
-/// transport): nonblocking listener polled at 5 ms, one blocking thread
-/// per accepted connection driving a [`ServerConn`] machine.
-fn run_threads(listener: &TcpListener, shared: &Arc<Shared>) {
+/// The accept loop: nonblocking listener polled at 5 ms, one blocking
+/// thread per accepted connection driving a [`ServerConn`] machine.
+fn accept_loop(listener: &TcpListener, shared: &Arc<Shared>) {
     // Failing to unblock the listener would turn the shutdown poll into a
     // hang — refuse to serve instead of aborting the process.
     if let Err(e) = listener.set_nonblocking(true) {
@@ -657,8 +578,8 @@ fn run_threads(listener: &TcpListener, shared: &Arc<Shared>) {
 }
 
 /// Typed, v1-framed `Overloaded` rejection any client version can parse,
-/// sent without reading the Hello first (shared by both backends).
-pub(crate) fn reject_at_accept(shared: &Shared, stream: std::net::TcpStream) {
+/// sent without reading the Hello first.
+fn reject_at_accept(shared: &Shared, stream: std::net::TcpStream) {
     shared.stats.conns_rejected.fetch_add(1, Ordering::Relaxed);
     let mut s = stream;
     let _ = protocol::write_response(
@@ -676,7 +597,7 @@ fn classify(e: &StoreError) -> ErrorCode {
     }
 }
 
-pub(crate) fn err(code: ErrorCode, message: impl Into<String>) -> Response {
+fn err(code: ErrorCode, message: impl Into<String>) -> Response {
     Response::Error { code, message: message.into() }
 }
 
@@ -870,10 +791,10 @@ fn encode_chunk_slab(
 
 // ------------------------------------------------------------ connections
 
-/// One blocking connection thread (the `Backend::Threads` transport)
-/// driving a [`ServerConn`] machine: 50 ms read timeouts keep the
-/// deadline clocks ticking, the machine decides *what* every event
-/// means, and this loop only moves bytes and time.
+/// One blocking connection thread driving a [`ServerConn`] machine:
+/// 50 ms read timeouts keep the deadline clocks ticking, the machine
+/// decides *what* every event means, and this loop only moves bytes and
+/// time.
 fn handle_conn<S: Wire>(shared: &Shared, mut stream: S) {
     let _ = stream.set_nodelay(true);
     let _ = stream.set_read_timeout(Some(Duration::from_millis(50)));
@@ -980,7 +901,7 @@ fn drain_actions<S: Wire>(shared: &Shared, conn: &mut ServerConn, stream: &mut S
 }
 
 /// Bump the per-reason supervision counter for a typed close.
-pub(crate) fn count_close(shared: &Shared, reason: CloseReason) {
+fn count_close(shared: &Shared, reason: CloseReason) {
     let counter = match reason {
         CloseReason::BadFrame => &shared.stats.bad_frames,
         CloseReason::HandshakeTimeout => &shared.stats.handshake_timeouts,
@@ -991,9 +912,9 @@ pub(crate) fn count_close(shared: &Shared, reason: CloseReason) {
     counter.fetch_add(1, Ordering::Relaxed);
 }
 
-/// Answer one delivered request on the blocking backend. Fetch admits
-/// through [`admit_fetch`] and parks on the worker rendezvous; replies
-/// go back into the machine so framing stays in one place.
+/// Answer one delivered request. Fetch admits through [`admit_fetch`]
+/// and parks on the worker rendezvous; replies go back into the machine
+/// so framing stays in one place.
 fn handle_request(shared: &Shared, conn: &mut ServerConn, req: Request) {
     if let Some(resp) = answer_inline(shared, &req) {
         conn.push_response(&resp);
@@ -1008,9 +929,7 @@ fn handle_request(shared: &Shared, conn: &mut ServerConn, req: Request) {
     let expires = (deadline_ms > 0).then(|| t0 + Duration::from_millis(deadline_ms as u64));
     let (tenant, weight) = (conn.tenant(), conn.weight());
     let (tx, rx) = mpsc::sync_channel(1);
-    match admit_fetch(shared, tenant, weight, container, chunk, read_cf, expires, || {
-        ReplyTo::Sync(tx)
-    }) {
+    match admit_fetch(shared, tenant, weight, container, chunk, read_cf, expires, tx) {
         Admission::Ready(slab) => conn.push_slab(slab),
         Admission::Rejected(resp) => conn.push_response(&resp),
         Admission::Queued => match rx.recv() {
@@ -1023,10 +942,9 @@ fn handle_request(shared: &Shared, conn: &mut ServerConn, req: Request) {
     shared.stats.record_request(Endpoint::Fetch, t0.elapsed());
 }
 
-/// Answer the requests that never touch the worker pool (both backends
-/// serve these inline on the connection's thread/loop). `None` means
-/// Fetch — the backends admit those differently.
-pub(crate) fn answer_inline(shared: &Shared, req: &Request) -> Option<Response> {
+/// Answer the requests that never touch the worker pool, inline on the
+/// connection's thread. `None` means Fetch, which [`admit_fetch`] takes.
+fn answer_inline(shared: &Shared, req: &Request) -> Option<Response> {
     Some(match req {
         Request::Ping => Response::Pong,
         Request::Shutdown => {
@@ -1067,8 +985,8 @@ pub(crate) fn answer_inline(shared: &Shared, req: &Request) -> Option<Response> 
 }
 
 /// Install a pushed [`ShardMap`] on this running server — the live-
-/// reconfiguration entry point, shared by both backends (it runs inline
-/// on the pushing connection's thread/loop, under the shard write lock).
+/// reconfiguration entry point (it runs inline on the pushing
+/// connection's thread, under the shard write lock).
 ///
 /// Epoch-ordered: only a strictly higher epoch installs; a re-push of
 /// the exact current map is an idempotent ack; stale and same-epoch-
@@ -1082,7 +1000,7 @@ pub(crate) fn answer_inline(shared: &Shared, req: &Request) -> Option<Response> 
 /// from the very next admission on (`handoffs` counts them). Together:
 /// every admitted request is answered exactly once across the epoch
 /// boundary, and no key is ever served by a map that does not own it.
-pub(crate) fn push_map(shared: &Shared, map: &ShardMap) -> Response {
+fn push_map(shared: &Shared, map: &ShardMap) -> Response {
     let mut slot = shared.shard.write().unwrap_or_else(|e| e.into_inner());
     match ShardMap::plan_install(&slot.map, map) {
         MapInstall::Idempotent => Response::MapPushed { epoch: slot.map.epoch, installed: false },
@@ -1136,11 +1054,11 @@ pub(crate) fn push_map(shared: &Shared, map: &ShardMap) -> Response {
 }
 
 /// How [`admit_fetch`] disposed of one fetch.
-pub(crate) enum Admission {
+enum Admission {
     /// Cache hit — the shared slab, ready to send.
     Ready(Arc<ResponseSlab>),
-    /// Admitted to the worker queue; the result arrives at the job's
-    /// [`ReplyTo`].
+    /// Admitted to the worker queue; the result arrives on the job's
+    /// reply channel.
     Queued,
     /// Validation failure or load shed — answer with this and move on
     /// (boxed: `Response` dwarfs the other variants).
@@ -1150,8 +1068,8 @@ pub(crate) enum Admission {
 /// Validate and admit one fetch for `tenant`: resolve `read_cf = 0` to
 /// the stored fidelity, apply the brownout fidelity cap, serve cache
 /// hits immediately, and shed with a typed `Overloaded` only when the
-/// global queue is full or the tenant is over quota. `reply` is only
-/// built when the job actually queues.
+/// global queue is full or the tenant is over quota. `reply` travels
+/// with the job when it queues and is dropped otherwise.
 ///
 /// Brownout applies *before* the cache lookup, so the cache key, the
 /// batcher's `(container, cf)` grouping, and the reply's `served_cf`
@@ -1159,7 +1077,7 @@ pub(crate) enum Admission {
 /// indistinguishable from an honest coarse fetch at that level, which
 /// is exactly the §3.2 prefix property.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn admit_fetch(
+fn admit_fetch(
     shared: &Shared,
     tenant: u32,
     weight: u8,
@@ -1167,7 +1085,7 @@ pub(crate) fn admit_fetch(
     chunk: u32,
     read_cf: u8,
     expires: Option<Instant>,
-    reply: impl FnOnce() -> ReplyTo,
+    reply: mpsc::SyncSender<JobResult>,
 ) -> Admission {
     // Shard ownership is checked before anything else — a misdirected key
     // is rejected without touching the container, so a cluster member
@@ -1235,7 +1153,7 @@ pub(crate) fn admit_fetch(
     // the priority lane so brownout relief is not stuck behind the very
     // backlog it is trying to drain.
     let priority = cf < stored;
-    let job = Job { container, chunk, read_cf: cf, expires, reply: reply(), tenant, cost };
+    let job = Job { container, chunk, read_cf: cf, expires, reply, tenant, cost };
     match shared.queue.try_push(tenant, weight, cost, priority, job) {
         Ok(()) => {
             shared.stats.accepted.fetch_add(1, Ordering::Relaxed);
@@ -1265,7 +1183,7 @@ pub(crate) fn admit_fetch(
     }
 }
 
-pub(crate) fn info(shared: &Shared, container: u32) -> Response {
+fn info(shared: &Shared, container: u32) -> Response {
     let Some(cont) = shared.containers.get(container as usize) else {
         return err(
             ErrorCode::NotFound,

@@ -27,6 +27,14 @@
 use crate::protocol::{put_string, BodyReader};
 use crate::{Result, ServeError};
 
+/// Most ring points (members × vnodes) a decoded map may ask for. A map
+/// body is untrusted and cheap — an empty-named member costs 4 bytes, so
+/// ~256 KiB could otherwise demand 65,535 × 65,535 points (~68 GB of
+/// ring). 2^20 points (16 MiB of ring) is far above any real cluster
+/// (3 members × 128 vnodes is 384 points) and still admits `u16::MAX`
+/// vnodes on 16 members.
+pub const MAX_RING_POINTS: usize = 1 << 20;
+
 /// One cluster member: a stable name (hashed onto the ring) and the
 /// socket address clients dial to reach it.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -210,13 +218,22 @@ impl ShardMap {
         }
     }
 
-    /// Parse a map from a body reader and rebuild its ring.
+    /// Parse a map from a body reader and rebuild its ring. A map whose
+    /// ring would exceed [`MAX_RING_POINTS`] is malformed, like any other
+    /// bad body, and is rejected before anything is allocated for it.
     pub(crate) fn decode(r: &mut BodyReader<'_>) -> Result<ShardMap> {
         let epoch = r.u64()?;
         let seed = r.u64()?;
         let vnodes = r.u16()?;
         let replication = r.u8()?;
         let count = r.u16()? as usize;
+        let points = count * usize::from(vnodes.max(1));
+        if points > MAX_RING_POINTS {
+            return Err(ServeError::Protocol(format!(
+                "shard map asks for {points} ring points ({count} members x {vnodes} vnodes), \
+                 above the {MAX_RING_POINTS} limit"
+            )));
+        }
         let mut members = Vec::with_capacity(count);
         for _ in 0..count {
             let name = r.string()?;
@@ -472,6 +489,48 @@ mod tests {
         // Out-of-range members are ignored, not a panic.
         assert_eq!(det.observe(9, false, 0), None);
         assert!(!det.is_suspected(9));
+    }
+
+    /// A map body with `count` empty-named members at `vnodes` each —
+    /// 4 bytes per member, the cheapest way to ask for a huge ring.
+    fn cheap_map_body(count: u16, vnodes: u16) -> Vec<u8> {
+        let mut body = Vec::new();
+        body.extend_from_slice(&1u64.to_le_bytes());
+        body.extend_from_slice(&7u64.to_le_bytes());
+        body.extend_from_slice(&vnodes.to_le_bytes());
+        body.push(1);
+        body.extend_from_slice(&count.to_le_bytes());
+        for _ in 0..count {
+            put_string(&mut body, "");
+            put_string(&mut body, "");
+        }
+        body
+    }
+
+    #[test]
+    fn oversize_ring_is_a_typed_decode_error_not_an_allocation() {
+        // 32 × 32,769 = MAX_RING_POINTS + 32: just over the bound, so a
+        // decoder without it builds a 16 MiB ring and fails the assertion
+        // below instead of running out of memory.
+        const { assert!(32 * 32_769 > MAX_RING_POINTS) };
+        let body = cheap_map_body(32, 32_769);
+        match ShardMap::decode(&mut BodyReader::new(&body)) {
+            Err(ServeError::Protocol(msg)) => assert!(msg.contains("ring points"), "{msg}"),
+            Err(e) => panic!("oversize map must be a protocol error, got {e}"),
+            Ok(map) => {
+                panic!("oversize map decoded: {} members x {} vnodes", map.len(), map.vnodes)
+            }
+        }
+        // The same body as a MapPush request: the server answers any
+        // request that fails to decode with a typed BadRequest.
+        use crate::protocol::{decode_request, encode_request, Request, PROTO_VERSION};
+        let push = Request::MapPush(ShardMap::new(1, 7, 1, 1, members(1)));
+        let (op, _) = encode_request(&push, PROTO_VERSION).unwrap();
+        assert!(matches!(decode_request(op, &body, PROTO_VERSION), Err(ServeError::Protocol(_))));
+        // Exactly at the bound still decodes.
+        let at_bound = cheap_map_body(32, 32_768);
+        let map = ShardMap::decode(&mut BodyReader::new(&at_bound)).unwrap();
+        assert_eq!(map.len() * usize::from(map.vnodes), MAX_RING_POINTS);
     }
 
     #[test]

@@ -25,10 +25,6 @@ const LATENCY_BUCKETS: usize = 26;
 /// Linear batch-size buckets: bucket `i` counts passes of `i + 1` chunks;
 /// the last absorbs everything larger.
 const BATCH_BUCKETS: usize = 32;
-/// Frames-per-wakeup buckets (epoll backend): bucket `i` counts readiness
-/// wakeups that parsed `i` complete frames (0 = timer/completion-only
-/// wakeups); the last absorbs everything larger.
-const WAKEUP_BUCKETS: usize = 16;
 
 /// Request classes tracked separately in the stats frame.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -99,11 +95,6 @@ pub struct ServeStats {
     pub bad_frames: AtomicU64,
     /// Fetches shed with `DeadlineExceeded` before decoding.
     pub deadline_rejected: AtomicU64,
-    /// Readiness-loop wakeups (epoll backend; 0 under threads).
-    pub wakeups: AtomicU64,
-    /// Timer-wheel deadlines that fired while still armed (epoll
-    /// backend's handshake/idle/slow-loris supervision).
-    pub timer_expirations: AtomicU64,
     /// Bytes encoded into response slabs (one per distinct decode/encode
     /// — the only memcpy of a chunk reply body).
     pub slab_bytes_copied: AtomicU64,
@@ -137,7 +128,6 @@ pub struct ServeStats {
     requests: [AtomicU64; ENDPOINTS],
     latency: [LatencyHistogram; ENDPOINTS],
     batch: [AtomicU64; BATCH_BUCKETS],
-    frames_per_wakeup: [AtomicU64; WAKEUP_BUCKETS],
     /// Per-tenant admission counters, keyed by tenant id. A mutex (not
     /// atomics) because the tenant set is dynamic; the critical section
     /// is a hash probe + integer bump.
@@ -175,8 +165,6 @@ impl ServeStats {
             slow_closed: AtomicU64::new(0),
             bad_frames: AtomicU64::new(0),
             deadline_rejected: AtomicU64::new(0),
-            wakeups: AtomicU64::new(0),
-            timer_expirations: AtomicU64::new(0),
             slab_bytes_copied: AtomicU64::new(0),
             slab_bytes_shared: AtomicU64::new(0),
             degraded: AtomicU64::new(0),
@@ -191,7 +179,6 @@ impl ServeStats {
             requests: std::array::from_fn(|_| AtomicU64::new(0)),
             latency: std::array::from_fn(|_| LatencyHistogram::new()),
             batch: std::array::from_fn(|_| AtomicU64::new(0)),
-            frames_per_wakeup: std::array::from_fn(|_| AtomicU64::new(0)),
             tenants: Mutex::new(HashMap::new()),
         }
     }
@@ -216,12 +203,6 @@ impl ServeStats {
     /// Count one fetch served below its resolved fidelity for `tenant`.
     pub fn tenant_degraded(&self, tenant: u32, weight: u8) {
         self.tenant_entry(tenant, weight, |t| t.degraded += 1);
-    }
-
-    /// Record one readiness wakeup that parsed `frames` complete frames.
-    pub fn record_wakeup(&self, frames: usize) {
-        self.wakeups.fetch_add(1, Ordering::Relaxed);
-        self.frames_per_wakeup[frames.min(WAKEUP_BUCKETS - 1)].fetch_add(1, Ordering::Relaxed);
     }
 
     /// Record one completed request on `endpoint` taking `elapsed`.
@@ -310,8 +291,6 @@ impl ServeStats {
             slow_closed: self.slow_closed.load(Ordering::Relaxed),
             bad_frames: self.bad_frames.load(Ordering::Relaxed),
             deadline_rejected: self.deadline_rejected.load(Ordering::Relaxed),
-            wakeups: self.wakeups.load(Ordering::Relaxed),
-            timer_expirations: self.timer_expirations.load(Ordering::Relaxed),
             slab_bytes_copied: self.slab_bytes_copied.load(Ordering::Relaxed),
             slab_bytes_shared: self.slab_bytes_shared.load(Ordering::Relaxed),
             degraded: self.degraded.load(Ordering::Relaxed),
@@ -328,11 +307,6 @@ impl ServeStats {
             handoffs: self.handoffs.load(Ordering::Relaxed),
             tenants,
             batch_sizes: self.batch.iter().map(|b| b.load(Ordering::Relaxed)).collect(),
-            frames_per_wakeup: self
-                .frames_per_wakeup
-                .iter()
-                .map(|b| b.load(Ordering::Relaxed))
-                .collect(),
             endpoints: (0..ENDPOINTS)
                 .map(|i| EndpointStats {
                     requests: self.requests[i].load(Ordering::Relaxed),
@@ -413,10 +387,6 @@ pub struct StatsReport {
     pub bad_frames: u64,
     /// Fetches shed with `DeadlineExceeded` before decoding.
     pub deadline_rejected: u64,
-    /// Readiness-loop wakeups (0 under the threads backend).
-    pub wakeups: u64,
-    /// Timer-wheel deadlines that fired while still armed.
-    pub timer_expirations: u64,
     /// Bytes encoded into response slabs (one copy per encode).
     pub slab_bytes_copied: u64,
     /// Bytes served from shared slabs (shared/copied = mean fan-out).
@@ -452,9 +422,6 @@ pub struct StatsReport {
     /// Linear histogram: `batch_sizes[i]` passes decoded `i + 1` chunks
     /// (last bucket absorbs larger).
     pub batch_sizes: Vec<u64>,
-    /// Linear histogram: `frames_per_wakeup[i]` wakeups parsed `i`
-    /// complete frames (last bucket absorbs larger).
-    pub frames_per_wakeup: Vec<u64>,
     /// Per-endpoint counters, indexed by [`Endpoint`].
     pub endpoints: Vec<EndpointStats>,
 }
@@ -477,17 +444,6 @@ impl StatsReport {
         } else {
             self.chunks_decoded as f64 / self.decompress_passes as f64
         }
-    }
-
-    /// Mean complete frames parsed per readiness wakeup (0.0 when the
-    /// threads backend served — it never wakes the readiness loop).
-    pub fn mean_frames_per_wakeup(&self) -> f64 {
-        if self.wakeups == 0 {
-            return 0.0;
-        }
-        let frames: u64 =
-            self.frames_per_wakeup.iter().enumerate().map(|(i, &c)| i as u64 * c).sum();
-        frames as f64 / self.wakeups as f64
     }
 
     /// Mean connections each encoded slab byte was served to (1.0 = no
@@ -541,8 +497,6 @@ impl StatsReport {
             self.slow_closed,
             self.bad_frames,
             self.deadline_rejected,
-            self.wakeups,
-            self.timer_expirations,
             self.slab_bytes_copied,
             self.slab_bytes_shared,
             self.degraded,
@@ -553,10 +507,6 @@ impl StatsReport {
         }
         out.push(self.batch_sizes.len() as u8);
         for v in &self.batch_sizes {
-            out.extend_from_slice(&v.to_le_bytes());
-        }
-        out.push(self.frames_per_wakeup.len() as u8);
-        for v in &self.frames_per_wakeup {
             out.extend_from_slice(&v.to_le_bytes());
         }
         out.push(self.endpoints.len() as u8);
@@ -596,7 +546,7 @@ impl StatsReport {
     pub(crate) fn decode(r: &mut BodyReader<'_>) -> Result<StatsReport> {
         let queue_depth = r.u32()?;
         let queue_capacity = r.u32()?;
-        let mut fixed = [0u64; 24];
+        let mut fixed = [0u64; 22];
         for slot in &mut fixed {
             *slot = r.u64()?;
         }
@@ -604,11 +554,6 @@ impl StatsReport {
         let mut batch_sizes = Vec::with_capacity(n_batch);
         for _ in 0..n_batch {
             batch_sizes.push(r.u64()?);
-        }
-        let n_wake = r.u8()? as usize;
-        let mut frames_per_wakeup = Vec::with_capacity(n_wake);
-        for _ in 0..n_wake {
-            frames_per_wakeup.push(r.u64()?);
         }
         let n_eps = r.u8()? as usize;
         let mut endpoints = Vec::with_capacity(n_eps);
@@ -670,13 +615,11 @@ impl StatsReport {
             slow_closed: fixed[14],
             bad_frames: fixed[15],
             deadline_rejected: fixed[16],
-            wakeups: fixed[17],
-            timer_expirations: fixed[18],
-            slab_bytes_copied: fixed[19],
-            slab_bytes_shared: fixed[20],
-            degraded: fixed[21],
-            brownout_steps_down: fixed[22],
-            brownout_steps_up: fixed[23],
+            slab_bytes_copied: fixed[17],
+            slab_bytes_shared: fixed[18],
+            degraded: fixed[19],
+            brownout_steps_down: fixed[20],
+            brownout_steps_up: fixed[21],
             brownout_level,
             shard_owned,
             shard_epoch,
@@ -688,7 +631,6 @@ impl StatsReport {
             handoffs,
             tenants,
             batch_sizes,
-            frames_per_wakeup,
             endpoints,
         })
     }
@@ -755,13 +697,6 @@ impl std::fmt::Display for StatsReport {
         )?;
         writeln!(
             f,
-            "readiness  {} wakeups ({:.2} frames/wakeup), {} timer expirations",
-            self.wakeups,
-            self.mean_frames_per_wakeup(),
-            self.timer_expirations
-        )?;
-        writeln!(
-            f,
             "slabs      {} bytes encoded, {} bytes served ({:.2}x shared)",
             self.slab_bytes_copied,
             self.slab_bytes_shared,
@@ -803,10 +738,6 @@ mod tests {
         stats.deadline_rejected.store(5, Ordering::Relaxed);
         stats.slab_bytes_copied.store(4096, Ordering::Relaxed);
         stats.slab_bytes_shared.store(12288, Ordering::Relaxed);
-        stats.timer_expirations.store(2, Ordering::Relaxed);
-        stats.record_wakeup(0);
-        stats.record_wakeup(3);
-        stats.record_wakeup(500); // clamps into the last bucket
         stats.record_request(Endpoint::Fetch, Duration::from_micros(350));
         stats.record_request(Endpoint::Fetch, Duration::from_millis(12));
         stats.record_request(Endpoint::Info, Duration::from_micros(40));
@@ -981,7 +912,6 @@ mod tests {
             "batching",
             "conns",
             "discipline",
-            "readiness",
             "slabs",
             "fetch",
             "shard",
@@ -992,18 +922,11 @@ mod tests {
     }
 
     #[test]
-    fn wakeup_histogram_and_slab_ratio() {
+    fn slab_share_ratio_is_served_over_encoded() {
         let stats = ServeStats::new();
-        stats.record_wakeup(0);
-        stats.record_wakeup(0);
-        stats.record_wakeup(2);
         stats.slab_bytes_copied.store(100, Ordering::Relaxed);
         stats.slab_bytes_shared.store(250, Ordering::Relaxed);
         let report = stats.snapshot(0, 1, CacheSnapshot::default(), 0, &[], 0, 0);
-        assert_eq!(report.wakeups, 3);
-        assert_eq!(report.frames_per_wakeup[0], 2);
-        assert_eq!(report.frames_per_wakeup[2], 1);
-        assert!((report.mean_frames_per_wakeup() - 2.0 / 3.0).abs() < 1e-9);
         assert!((report.slab_share_ratio() - 2.5).abs() < 1e-9);
     }
 }

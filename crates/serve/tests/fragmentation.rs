@@ -1,9 +1,9 @@
 //! Fragmentation invariance for the sans-I/O [`FrameDecoder`]: a frame
 //! stream is the same stream no matter how the transport slices it.
 //!
-//! TCP owes the protocol nothing about read boundaries — a nonblocking
-//! read under the epoll backend can surface one byte of a length prefix,
-//! a prefix-and-a-half, or forty frames at once. The decoder is the *one*
+//! TCP owes the protocol nothing about read boundaries — one socket read
+//! can surface one byte of a length prefix, a prefix-and-a-half, or forty
+//! frames at once. The decoder is the *one*
 //! place that reassembles, so this suite feeds identical byte streams
 //! through pathological chunkings — 1-byte drip, 7-byte (prime, never
 //! aligned with the 4-byte length or 5-byte header), every single split

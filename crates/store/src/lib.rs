@@ -76,6 +76,8 @@
 //! assert_eq!(restored.dims(), &[4, 1, 16, 16]);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod bands;
 pub mod chunk;
 pub mod crc;

@@ -17,6 +17,8 @@
 //! All numerics in the reproduction run through this crate on the host;
 //! *timing* of the accelerators is simulated separately in `aicomp-accel`.
 
+#![forbid(unsafe_code)]
+
 pub mod conv;
 pub mod matmul;
 pub mod ops;

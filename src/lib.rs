@@ -49,6 +49,8 @@
 //! println!("simulated IPU compression: {:.3} ms", result.timing.seconds * 1e3);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub use aicomp_accel as accel;
 pub use aicomp_baselines as baselines;
 pub use aicomp_core as dct;

@@ -20,8 +20,8 @@ use std::time::Duration;
 
 use aicomp::serve::protocol::{read_response, write_request};
 use aicomp::serve::{
-    Backend, Client, ErrorCode, Request, Response, RobustClient, RobustConfig, ServeConfig,
-    ServeError, Server, WireFaultPlan, MAX_FRAME,
+    Client, ErrorCode, Request, Response, RobustClient, RobustConfig, ServeConfig, ServeError,
+    Server, WireFaultPlan, MAX_FRAME,
 };
 use aicomp::store::writer::pack_file;
 use aicomp::store::{RetryPolicy, StoreOptions};
@@ -70,14 +70,8 @@ const CHUNKS: u32 = SAMPLES.div_ceil(CHUNK) as u32;
 /// One full chaos pass: fresh server, one [`RobustClient`] whose wire is
 /// fault-injected with `seed`, every chunk at both fidelities three times,
 /// every byte verified. Returns the recovery counters.
-fn chaos_pass(
-    path: &PathBuf,
-    want: &HashMap<(u32, u8), Vec<u32>>,
-    seed: u64,
-    backend: Backend,
-) -> [u64; 6] {
-    let config = ServeConfig { backend, ..ServeConfig::default() };
-    let handle = Server::bind("127.0.0.1:0", &[path], config).unwrap().spawn();
+fn chaos_pass(path: &PathBuf, want: &HashMap<(u32, u8), Vec<u32>>, seed: u64) -> [u64; 6] {
+    let handle = Server::bind("127.0.0.1:0", &[path], ServeConfig::default()).unwrap().spawn();
     let addr = handle.addr();
     let config = RobustConfig {
         retry: RetryPolicy { max_attempts: 8, backoff: Duration::from_micros(200) },
@@ -122,8 +116,8 @@ fn faulty_wire_delivers_bit_identical_chunks_with_deterministic_counters() {
     let path = packed("wire");
     let want = reference(&path);
 
-    let first = chaos_pass(&path, &want, 0xC0FFEE, Backend::Threads);
-    let second = chaos_pass(&path, &want, 0xC0FFEE, Backend::Threads);
+    let first = chaos_pass(&path, &want, 0xC0FFEE);
+    let second = chaos_pass(&path, &want, 0xC0FFEE);
     assert_eq!(
         first, second,
         "same seed, same store: [attempts, retries, reconnects, breaker_opens, \
@@ -133,33 +127,8 @@ fn faulty_wire_delivers_bit_identical_chunks_with_deterministic_counters() {
     assert!(first[1] > 0, "disrupted traffic must force retries: {first:?}");
 
     // A different seed is a genuinely different fault schedule.
-    let other = chaos_pass(&path, &want, 0xB0BACAFE, Backend::Threads);
+    let other = chaos_pass(&path, &want, 0xB0BACAFE);
     assert_ne!(first, other, "distinct seeds should not replay the same fault schedule");
-    std::fs::remove_file(&path).ok();
-}
-
-#[test]
-fn epoll_backend_survives_chaos_with_deterministic_counters() {
-    if !aicomp::serve::epoll::supported() {
-        return; // the raw-syscall shim is linux (x86_64/aarch64) only
-    }
-    let path = packed("epoll_wire");
-    let want = reference(&path);
-
-    // The event loop faces the same fault schedule the thread-per-
-    // connection backend does: resets mid-frame, corrupted CRCs, stalls,
-    // and 1-byte writes all land on nonblocking reads now — and the
-    // client-side recovery counters must still be a pure function of the
-    // seed across two runs.
-    let first = chaos_pass(&path, &want, 0xC0FFEE, Backend::Epoll);
-    let second = chaos_pass(&path, &want, 0xC0FFEE, Backend::Epoll);
-    assert_eq!(
-        first, second,
-        "epoll backend: same seed must replay [attempts, retries, reconnects, \
-         breaker_opens, failovers, disruptions] exactly"
-    );
-    assert!(first[5] > 0, "the standard plan must disrupt this much traffic: {first:?}");
-    assert!(first[1] > 0, "disrupted traffic must force retries: {first:?}");
     std::fs::remove_file(&path).ok();
 }
 

@@ -6,7 +6,7 @@
 //! the machinery must stay deterministic: killing a shard, detecting it
 //! with the seeded failure detector, and routing around it via an epoch
 //! bump replays the exact same counters across two runs with the same
-//! seed, on both server backends. Hedged reads are pinned the same way:
+//! seed. Hedged reads are pinned the same way:
 //! with one deliberately slow shard, the number of hedges fired, won,
 //! and wasted is a pure function of the ring.
 
@@ -18,8 +18,8 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use aicomp::serve::{
-    Backend, Client, ErrorCode, FailureDetector, RobustClient, RobustConfig, ServeConfig,
-    ServeError, Server, ServerHandle, ShardMap, ShardMember, ShardRole, WireFaultPlan,
+    Client, ErrorCode, FailureDetector, RobustClient, RobustConfig, ServeConfig, ServeError,
+    Server, ServerHandle, ShardMap, ShardMember, ShardRole, WireFaultPlan,
 };
 use aicomp::store::writer::pack_file;
 use aicomp::store::{RetryPolicy, StoreOptions};
@@ -88,7 +88,6 @@ fn start_cluster(
     paths: &[PathBuf],
     n: usize,
     ring_seed: u64,
-    backend: Backend,
     tweak: impl Fn(usize, &mut ServeConfig),
 ) -> (ShardMap, Vec<ServerHandle>) {
     let ports = reserve_ports(n);
@@ -101,7 +100,6 @@ fn start_cluster(
     let handles = (0..n)
         .map(|i| {
             let mut config = ServeConfig {
-                backend,
                 shard: Some(ShardRole { map: map.clone(), index: i }),
                 ..ServeConfig::default()
             };
@@ -160,13 +158,11 @@ fn verify(
 /// identically to a direct decode. Also pins the install rule on the
 /// wire: an idempotent re-push acks without installing, and stale or
 /// same-epoch-conflicting pushes are typed rejections.
-fn assert_push_under_load_loses_nothing(backend: Backend) {
-    let paths = packed(match backend {
-        Backend::Threads => "load_threads",
-        Backend::Epoll => "load_epoll",
-    });
+#[test]
+fn map_push_under_concurrent_load_loses_no_requests() {
+    let paths = packed("load");
     let want = Arc::new(reference(&paths));
-    let (map, handles) = start_cluster(&paths, 3, 42, backend, |_, _| {});
+    let (map, handles) = start_cluster(&paths, 3, 42, |_, _| {});
     let seed_addr: SocketAddr = map.members[0].addr.parse().unwrap();
 
     let workers = 4usize;
@@ -242,19 +238,6 @@ fn assert_push_under_load_loses_nothing(backend: Backend) {
     }
 }
 
-#[test]
-fn map_push_under_concurrent_load_loses_no_requests() {
-    assert_push_under_load_loses_nothing(Backend::Threads);
-}
-
-#[test]
-fn epoll_map_push_under_concurrent_load_loses_no_requests() {
-    if !aicomp::serve::epoll::supported() {
-        return; // the raw-syscall shim is linux (x86_64/aarch64) only
-    }
-    assert_push_under_load_loses_nothing(Backend::Epoll);
-}
-
 /// Exact drain accounting: park K requests inside the worker pool (a
 /// deliberate per-job delay), push a map while they are in flight, and
 /// the server must count exactly K drains — and still answer all K at
@@ -264,7 +247,7 @@ fn map_push_drains_inflight_work_exactly() {
     let paths = packed("drain");
     let want = reference(&paths);
     const K: usize = 3;
-    let (map, handles) = start_cluster(&paths, 2, 42, Backend::Threads, |_, config| {
+    let (map, handles) = start_cluster(&paths, 2, 42, |_, config| {
         config.workers = K;
         config.worker_delay = Some(Duration::from_millis(300));
     });
@@ -321,13 +304,8 @@ fn map_push_drains_inflight_work_exactly() {
 /// → redirected walk → kill s1 → failover walk → detector sweep →
 /// epoch-3 push to the survivor → final walk. Every byte verified
 /// throughout; returns every counter the pass produced.
-fn churn_pass(
-    paths: &[PathBuf],
-    want: &HashMap<(u32, u32, u8), Vec<u32>>,
-    seed: u64,
-    backend: Backend,
-) -> Vec<u64> {
-    let (map, mut handles) = start_cluster(paths, 3, 42, backend, |_, _| {});
+fn churn_pass(paths: &[PathBuf], want: &HashMap<(u32, u32, u8), Vec<u32>>, seed: u64) -> Vec<u64> {
+    let (map, mut handles) = start_cluster(paths, 3, 42, |_, _| {});
     let seed_addr: SocketAddr = map.members[0].addr.parse().unwrap();
     let config = RobustConfig {
         retry: RetryPolicy { max_attempts: 2, backoff: Duration::from_millis(1) },
@@ -428,15 +406,13 @@ fn churn_pass(
     out
 }
 
-fn assert_churn_replays(backend: Backend) {
-    let paths = packed(match backend {
-        Backend::Threads => "churn_threads",
-        Backend::Epoll => "churn_epoll",
-    });
+#[test]
+fn kill_detect_and_epoch_bump_replay_deterministic_counters() {
+    let paths = packed("churn");
     let want = reference(&paths);
 
-    let first = churn_pass(&paths, &want, 0xB0B, backend);
-    let second = churn_pass(&paths, &want, 0xB0B, backend);
+    let first = churn_pass(&paths, &want, 0xB0B);
+    let second = churn_pass(&paths, &want, 0xB0B);
     assert_eq!(
         first, second,
         "same seed, same churn schedule: every client and server counter must replay exactly"
@@ -450,24 +426,11 @@ fn assert_churn_replays(backend: Backend) {
     assert!(first[n - 2] > 0, "the leaver must hand off its keys: {first:?}");
     assert!(first[n - 1] > 0, "round-B stale asks must bounce off the leaver: {first:?}");
 
-    let other = churn_pass(&paths, &want, 0xACE, backend);
+    let other = churn_pass(&paths, &want, 0xACE);
     assert_ne!(first, other, "distinct seeds should not replay the same routing history");
     for p in &paths {
         std::fs::remove_file(p).ok();
     }
-}
-
-#[test]
-fn kill_detect_and_epoch_bump_replay_deterministic_counters() {
-    assert_churn_replays(Backend::Threads);
-}
-
-#[test]
-fn epoll_kill_detect_and_epoch_bump_replay_deterministic_counters() {
-    if !aicomp::serve::epoll::supported() {
-        return; // the raw-syscall shim is linux (x86_64/aarch64) only
-    }
-    assert_churn_replays(Backend::Epoll);
 }
 
 /// Hedged reads against one deliberately slow shard: every fetch whose
@@ -478,7 +441,7 @@ fn epoll_kill_detect_and_epoch_bump_replay_deterministic_counters() {
 fn hedged_reads_win_on_the_fast_replica() {
     let paths = packed("hedge");
     let want = reference(&paths);
-    let (map, handles) = start_cluster(&paths, 3, 42, Backend::Threads, |i, config| {
+    let (map, handles) = start_cluster(&paths, 3, 42, |i, config| {
         if i == 1 {
             config.worker_delay = Some(Duration::from_millis(150));
         }

@@ -14,8 +14,8 @@ use std::sync::atomic::Ordering;
 use std::time::Duration;
 
 use aicomp::serve::{
-    Backend, Client, RobustClient, RobustConfig, ServeConfig, Server, ServerHandle, ShardMap,
-    ShardMember, ShardRole,
+    Client, RobustClient, RobustConfig, ServeConfig, Server, ServerHandle, ShardMap, ShardMember,
+    ShardRole,
 };
 use aicomp::store::writer::pack_file;
 use aicomp::store::{RetryPolicy, StoreOptions};
@@ -83,11 +83,7 @@ fn reserve_ports(n: usize) -> Vec<u16> {
 }
 
 /// Start a 3-shard cluster sharing one map; returns (map, handles).
-fn start_cluster(
-    paths: &[PathBuf],
-    ring_seed: u64,
-    backend: Backend,
-) -> (ShardMap, Vec<ServerHandle>) {
+fn start_cluster(paths: &[PathBuf], ring_seed: u64) -> (ShardMap, Vec<ServerHandle>) {
     let ports = reserve_ports(3);
     let members: Vec<ShardMember> = ports
         .iter()
@@ -98,7 +94,6 @@ fn start_cluster(
     let handles = (0..3)
         .map(|i| {
             let config = ServeConfig {
-                backend,
                 shard: Some(ShardRole { map: map.clone(), index: i }),
                 ..ServeConfig::default()
             };
@@ -164,7 +159,7 @@ fn three_shard_cluster_is_bit_identical_to_a_single_node() {
 
     // The cluster: same stores split across 3 shards, asked through a
     // ring-routed client seeded with one member address.
-    let (map, handles) = start_cluster(&paths, 42, Backend::Threads);
+    let (map, handles) = start_cluster(&paths, 42);
     let seed_addr: SocketAddr = map.members[0].addr.parse().unwrap();
     let mut ring = RobustClient::new_ring(&[seed_addr], RobustConfig::default()).unwrap();
 
@@ -212,9 +207,8 @@ fn cluster_pass(
     paths: &[PathBuf],
     want: &HashMap<(u32, u32, u8), Vec<u32>>,
     seed: u64,
-    backend: Backend,
 ) -> [u64; 6] {
-    let (map, mut handles) = start_cluster(paths, 42, backend);
+    let (map, mut handles) = start_cluster(paths, 42);
     let seed_addr: SocketAddr = map.members[0].addr.parse().unwrap();
     let config = RobustConfig {
         retry: RetryPolicy { max_attempts: 2, backoff: Duration::from_millis(1) },
@@ -258,15 +252,13 @@ fn cluster_pass(
     out
 }
 
-fn assert_kill_one_shard_replays(backend: Backend) {
-    let paths = packed(match backend {
-        Backend::Threads => "kill_threads",
-        Backend::Epoll => "kill_epoll",
-    });
+#[test]
+fn killing_one_shard_replays_deterministic_routing_counters() {
+    let paths = packed("kill");
     let want = reference(&paths);
 
-    let first = cluster_pass(&paths, &want, 0xD1CE, backend);
-    let second = cluster_pass(&paths, &want, 0xD1CE, backend);
+    let first = cluster_pass(&paths, &want, 0xD1CE);
+    let second = cluster_pass(&paths, &want, 0xD1CE);
     assert_eq!(
         first, second,
         "same seed, same topology change: [routed0, routed1, routed2, redirects, \
@@ -279,22 +271,9 @@ fn assert_kill_one_shard_replays(backend: Backend) {
     assert_eq!(first[4], first[3], "each redirect refreshes the map exactly once: {first:?}");
 
     // A different walk order is a genuinely different routing history.
-    let other = cluster_pass(&paths, &want, 0xFEED, backend);
+    let other = cluster_pass(&paths, &want, 0xFEED);
     assert_ne!(first, other, "distinct seeds should not replay the same routing history");
     for p in &paths {
         std::fs::remove_file(p).ok();
     }
-}
-
-#[test]
-fn killing_one_shard_replays_deterministic_routing_counters() {
-    assert_kill_one_shard_replays(Backend::Threads);
-}
-
-#[test]
-fn epoll_cluster_survives_a_shard_kill_with_deterministic_counters() {
-    if !aicomp::serve::epoll::supported() {
-        return; // the raw-syscall shim is linux (x86_64/aarch64) only
-    }
-    assert_kill_one_shard_replays(Backend::Epoll);
 }
